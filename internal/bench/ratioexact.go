@@ -5,7 +5,9 @@ package bench
 // competition it joins (howard, lawler, dinkelbach) — timed on the same
 // transit-weighted SPRAND instances, with every ρ* cross-checked
 // bit-identical. Any disagreement is a Violation and mcmbench exits 2, so
-// the recorded BENCH_ratio.json doubles as an equivalence gate.
+// the recorded BENCH_ratio.json doubles as an equivalence gate. The sweep
+// also gates the shared oracle's early exit: lawler's and sternbrocot's
+// mean passes per probe must stay under ratioExactPassCeiling.
 // `mcmbench -table ratio-exact -json > BENCH_ratio.json` records the sweep;
 // `-quick` is the CI smoke variant.
 
@@ -25,6 +27,17 @@ import (
 // RatioExactAlgos is the roster under comparison: the exact solvers that
 // certify ρ* with no floating-point solve anywhere on the answer path.
 var RatioExactAlgos = []string{"howard", "lawler", "dinkelbach", "sternbrocot"}
+
+// ratioExactPassCeiling bounds the mean Bellman–Ford passes per probe,
+// Relaxations ÷ (m·Probes), of the probe-bound solvers in
+// ratioExactPassGated, on every row. It is 2× the highest value the
+// oracle's per-pass parent-graph walk reaches on these instances (7.9, for
+// lawler at n = 1024) and below every row of the n-pass negative probes it
+// replaced (20–51 on the -quick rows, 75–353 on the full ones), so a lost
+// early exit is a Violation.
+const ratioExactPassCeiling = 16.0
+
+var ratioExactPassGated = []string{"lawler", "sternbrocot"}
 
 // RatioExactConfig parameterizes RunRatioExactSweep.
 type RatioExactConfig struct {
@@ -64,6 +77,17 @@ type RatioExactCell struct {
 	// work, comparable across all four solvers.
 	Probes     int `json:"probes"`
 	Iterations int `json:"iterations"`
+	// Relaxations counts every arc relaxation, the probes' and the
+	// certifier's.
+	Relaxations int64 `json:"relaxations"`
+}
+
+// passesPerProbe is the mean number of m-arc passes per probe.
+func (c RatioExactCell) passesPerProbe(m int) float64 {
+	if c.Probes == 0 || m == 0 {
+		return 0
+	}
+	return float64(c.Relaxations) / float64(int64(m)*int64(c.Probes))
 }
 
 // RatioExactRow is one (n, m) row of the comparison.
@@ -138,6 +162,7 @@ func RunRatioExactSweep(cfg RatioExactConfig) (*RatioExactReport, error) {
 				cell.Seconds += secs
 				cell.Probes += res.Counts.NegativeCycleChecks
 				cell.Iterations += res.Counts.Iterations
+				cell.Relaxations += int64(res.Counts.Relaxations)
 				row.Cells[name] = cell
 
 				value := res.Ratio.String()
@@ -158,6 +183,13 @@ func RunRatioExactSweep(cfg RatioExactConfig) (*RatioExactReport, error) {
 				}
 			}
 		}
+		for _, name := range ratioExactPassGated {
+			if p := row.Cells[name].passesPerProbe(row.M); p > ratioExactPassCeiling {
+				rep.Violations = append(rep.Violations, fmt.Sprintf(
+					"n=%d m=%d: %s averages %.1f passes per probe, ceiling %.0f",
+					size[0], size[1], name, p, ratioExactPassCeiling))
+			}
+		}
 		rep.Rows = append(rep.Rows, row)
 		if cfg.Progress != nil {
 			fmt.Fprintf(cfg.Progress, "ratio-exact: n=%d m=%d done (%d seeds × %d solvers)\n",
@@ -173,14 +205,14 @@ func WriteRatioExact(w io.Writer, rep *RatioExactReport) {
 		rep.MaxTransit, rep.Seeds)
 	fmt.Fprintf(w, "%6s %7s", "n", "m")
 	for _, name := range rep.Algos {
-		fmt.Fprintf(w, " %12s %8s", name+" (s)", "probes")
+		fmt.Fprintf(w, " %12s %8s %7s", name+" (s)", "probes", "passes")
 	}
 	fmt.Fprintln(w)
 	for _, r := range rep.Rows {
 		fmt.Fprintf(w, "%6d %7d", r.N, r.M)
 		for _, name := range rep.Algos {
 			c := r.Cells[name]
-			fmt.Fprintf(w, " %12.4f %8d", c.Seconds, c.Probes)
+			fmt.Fprintf(w, " %12.4f %8d %7.1f", c.Seconds, c.Probes, c.passesPerProbe(r.M))
 		}
 		fmt.Fprintln(w)
 	}

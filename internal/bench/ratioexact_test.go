@@ -26,7 +26,7 @@ func TestRunRatioExactSweepSmoke(t *testing.T) {
 		if !ok {
 			t.Fatalf("no cell for %s", name)
 		}
-		if cell.Probes == 0 || cell.Iterations == 0 {
+		if cell.Probes == 0 || cell.Iterations == 0 || cell.Relaxations == 0 {
 			t.Errorf("%s: empty counters: %+v", name, cell)
 		}
 	}

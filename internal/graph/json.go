@@ -37,7 +37,9 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 // allocated first (json.Unmarshal(data, &g) with g *Graph... use
 // ReadJSON for streams).
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	var in jsonGraph
+	// Size the arc slice up front; encoding/json appends into its capacity
+	// instead of growing it by doubling.
+	in := jsonGraph{Arcs: make([]jsonArc, 0, arcCapacity(data))}
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
 	}
@@ -62,6 +64,28 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	}
 	*g = *FromArcs(in.Nodes, arcs)
 	return nil
+}
+
+// arcCapacity estimates the arc count of a JSON graph body as the number of
+// objects it opens outside strings, less the graph object itself, capped at
+// maxReadDim+1 (one more arc than UnmarshalJSON accepts). Braces inside
+// strings are skipped, so padding a body with them cannot inflate the
+// allocation.
+func arcCapacity(data []byte) int {
+	objects := 0
+	for i := 0; i < len(data); i++ {
+		switch data[i] {
+		case '{':
+			objects++
+		case '"':
+			for i++; i < len(data) && data[i] != '"'; i++ {
+				if data[i] == '\\' {
+					i++
+				}
+			}
+		}
+	}
+	return min(max(objects-1, 0), maxReadDim+1)
 }
 
 // WriteJSON serializes g as JSON to w.

@@ -19,14 +19,26 @@
 // q·w(e) − p·t(e) per probe), start from a virtual source connected to
 // every node with weight 0, and return a negative cycle as arc IDs when
 // one exists.
+//
+// HasNegativeRatioCycle is the certifiers' checker: the textbook early-exit
+// Bellman–Ford on q·w(e) − p·t(e) with the weights computed inline, kept
+// deliberately plain so it never shares code with the fast parametric
+// oracle whose answers it checks.
 package ncd
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/counter"
 	"repro/internal/graph"
+	"repro/internal/numeric"
 )
+
+// ErrRange reports that HasNegativeRatioCycle's scaled arithmetic could
+// overflow int64 for the given graph and parameter.
+var ErrRange = errors.New("ncd: scaled weights exceed the exact int64 range")
 
 // Method selects a detector.
 type Method int
@@ -111,6 +123,64 @@ func bellmanFord(g *graph.Graph, weights []int64, earlyExit bool, counts *counte
 		return nil, false
 	}
 	return collectCycle(g, parent, lastChanged), true
+}
+
+// HasNegativeRatioCycle reports whether some cycle C has
+// q·w(C) − p·t(C) < 0, i.e. w(C)/t(C) < p/q for q > 0. It is plain
+// Bellman–Ford from a virtual zero source that stops at the first pass with
+// no improvement and otherwise runs all n passes. It fails with ErrRange,
+// before counting any work, when some arc's |q·w| + |p·t| summed over n+1
+// arcs could leave 2^62. counts, when non-nil, receives one
+// NegativeCycleChecks and m Relaxations per pass.
+func HasNegativeRatioCycle(g *graph.Graph, p, q int64, counts *counter.Counts) (bool, error) {
+	n := g.NumNodes()
+	var perArc int64
+	for _, a := range g.Arcs() {
+		mw, okW := absMul(q, a.Weight)
+		mt, okT := absMul(p, a.Transit)
+		if !okW || !okT || mw > math.MaxInt64-mt {
+			return false, ErrRange
+		}
+		perArc = max(perArc, mw+mt)
+	}
+	const safe = int64(1) << 62
+	if perArc > 0 && int64(n+1) > safe/perArc {
+		return false, ErrRange
+	}
+
+	if counts != nil {
+		counts.NegativeCycleChecks++
+	}
+	dist := make([]int64, n)
+	arcs := g.Arcs()
+	for pass := 0; pass < n; pass++ {
+		changed := false
+		for _, a := range arcs {
+			if counts != nil {
+				counts.Relaxations++
+			}
+			if nd := dist[a.From] + q*a.Weight - p*a.Transit; nd < dist[a.To] {
+				dist[a.To] = nd
+				changed = true
+			}
+		}
+		if !changed {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// absMul returns |a·b| and whether it fits in int64.
+func absMul(a, b int64) (int64, bool) {
+	m, ok := numeric.CheckedMul(a, b)
+	if !ok || m == math.MinInt64 {
+		return 0, false
+	}
+	if m < 0 {
+		m = -m
+	}
+	return m, true
 }
 
 // collectCycle walks parents from a node known to be on or downstream of a

@@ -138,3 +138,69 @@ func TestRelaxationCountOrdering(t *testing.T) {
 		t.Errorf("basic = %d relaxations, want n·m = 120000", relax[Basic])
 	}
 }
+
+// TestHasNegativeRatioCycle checks the certifiers' inline-weight checker
+// against EarlyExit on the same scaled weights q·w − p·t: same verdict and,
+// pass for pass, the same counts.
+func TestHasNegativeRatioCycle(t *testing.T) {
+	verdicts := map[bool]int{}
+	for seed := uint64(1); seed <= 20; seed++ {
+		base, err := gen.Sprand(gen.SprandConfig{N: 10, M: 30, MinWeight: -20, MaxWeight: 20, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arcs := base.Arcs()
+		for i := range arcs {
+			arcs[i].Transit = 1 + int64(i%4)
+		}
+		g := graph.FromArcs(base.NumNodes(), arcs)
+		for p := int64(-140); p <= 140; p += 7 {
+			const q = 7
+			w := make([]int64, g.NumArcs())
+			for i, a := range g.Arcs() {
+				w[i] = q*a.Weight - p*a.Transit
+			}
+			var want, got counter.Counts
+			_, found := Detect(g, w, EarlyExit, &want)
+			neg, err := HasNegativeRatioCycle(g, p, q, &got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if neg != found || got != want {
+				t.Fatalf("seed %d p/q = %d/%d: (%v, %+v), EarlyExit says (%v, %+v)", seed, p, q, neg, got, found, want)
+			}
+			verdicts[neg]++
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("degenerate probe mix: %v", verdicts)
+	}
+}
+
+// TestHasNegativeRatioCycleRange checks the exact per-arc overflow guard:
+// it refuses before counting any work, and accepts the largest magnitudes
+// that fit.
+func TestHasNegativeRatioCycleRange(t *testing.T) {
+	const maxW = int64(1)<<31 - 1
+	b := graph.NewBuilder(2, 2)
+	b.AddNodes(2)
+	b.AddArcTransit(0, 1, maxW, maxW)
+	b.AddArcTransit(1, 0, -maxW, 1)
+	g := b.Build()
+	var c counter.Counts
+	for _, pq := range [][2]int64{{1, 1 << 40}, {1 << 40, 1}, {-(1 << 40), 1}, {1 << 62, 1 << 62}} {
+		if _, err := HasNegativeRatioCycle(g, pq[0], pq[1], &c); err != ErrRange {
+			t.Errorf("p/q = %d/%d: err = %v, want ErrRange", pq[0], pq[1], err)
+		}
+	}
+	if c != (counter.Counts{}) {
+		t.Errorf("refused checks counted work: %+v", c)
+	}
+	// Cycle weight 0 and transit 2^31: ρ* = 0. Probing at 0/1 fits.
+	if neg, err := HasNegativeRatioCycle(g, 0, 1, &c); err != nil || neg {
+		t.Errorf("p/q = 0/1: (%v, %v), want feasible", neg, err)
+	}
+	if neg, err := HasNegativeRatioCycle(g, 1, 1<<20, nil); err != nil || !neg {
+		t.Errorf("p/q = 1/2^20: (%v, %v), want a negative cycle", neg, err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/graph"
+	"repro/internal/ncd"
 	"repro/internal/numeric"
 )
 
@@ -190,9 +191,9 @@ func SolveKernel(g *graph.Graph, counts *counter.Counts) (numeric.Rat, []graph.A
 		}
 
 		if !improved {
-			neg, err := kernelHasNegativeCycle(g, bestGain.Num(), bestGain.Den(), counts)
+			neg, err := ncd.HasNegativeRatioCycle(g, bestGain.Num(), bestGain.Den(), counts)
 			if err != nil {
-				return numeric.Rat{}, nil, err
+				return numeric.Rat{}, nil, ErrSolverRange
 			}
 			if !neg {
 				cycle := make([]graph.ArcID, len(bestCyc))
@@ -203,70 +204,6 @@ func SolveKernel(g *graph.Graph, counts *counter.Counts) (numeric.Rat, []graph.A
 		}
 	}
 	return numeric.Rat{}, nil, ErrSolverLimit
-}
-
-// kernelHasNegativeCycle reports whether some cycle C has
-// q·w(C) − p·t(C) < 0, i.e. value(C) < p/q — the exact Bellman–Ford
-// certificate for the converged policy gain. It fails with ErrSolverRange
-// when the scaled arithmetic could overflow int64.
-func kernelHasNegativeCycle(g *graph.Graph, p, q int64, counts *counter.Counts) (bool, error) {
-	n := g.NumNodes()
-	// Overflow guard: distances are sums of at most n reduced weights.
-	var perArc int64
-	for _, a := range g.Arcs() {
-		m1, ok1 := mulAbs(q, a.Weight)
-		m2, ok2 := mulAbs(p, a.Transit)
-		if !ok1 || !ok2 || m1 > math.MaxInt64-m2 {
-			return false, ErrSolverRange
-		}
-		if s := m1 + m2; s > perArc {
-			perArc = s
-		}
-	}
-	const safe = int64(1) << 62
-	if perArc > 0 && int64(n+1) > safe/perArc {
-		return false, ErrSolverRange
-	}
-
-	if counts != nil {
-		counts.NegativeCycleChecks++
-	}
-	dist := make([]int64, n)
-	arcs := g.Arcs()
-	for pass := 0; pass < n; pass++ {
-		changed := false
-		for _, a := range arcs {
-			if counts != nil {
-				counts.Relaxations++
-			}
-			w := q*a.Weight - p*a.Transit
-			if nd := dist[a.From] + w; nd < dist[a.To] {
-				dist[a.To] = nd
-				changed = true
-			}
-		}
-		if !changed {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// mulAbs returns |a·b| with an overflow flag.
-func mulAbs(a, b int64) (int64, bool) {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	if a > math.MaxInt64/b {
-		return 0, false
-	}
-	return a * b, true
 }
 
 // kernelPolicyCycles finds the cycles of an out-degree-one policy graph;

@@ -6,7 +6,8 @@ package ratio
 // the graph's total transit time; a float-converged ρ is snapped to that
 // bounded-denominator rational, the witness cycle's ratio is recomputed
 // exactly, and optimality is proven by checking that the graph reweighted
-// by q·w(e) − p·t(e) admits no negative cycle.
+// by q·w(e) − p·t(e) admits no negative cycle, with ncd's textbook checker
+// rather than the parametric oracle the solvers ran on.
 
 import (
 	"errors"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/ncd"
 	"repro/internal/numeric"
 	"repro/internal/obs"
 )
@@ -45,44 +47,6 @@ func transitDenominatorBound(g *graph.Graph) int64 {
 		return 1
 	}
 	return sum
-}
-
-// scaledRatioOverflows reports whether Bellman–Ford on weights q·w − p·t can
-// overflow int64 for this graph (per-arc magnitude times n+1 passes must
-// stay inside 2^62, matching core.scaledOverflows).
-func scaledRatioOverflows(g *graph.Graph, p, q int64) bool {
-	minW, maxW := g.WeightRange()
-	absW := maxW
-	if -minW > absW {
-		absW = -minW
-	}
-	var maxT int64
-	for _, a := range g.Arcs() {
-		t := a.Transit
-		if t < 0 {
-			t = -t
-		}
-		if t > maxT {
-			maxT = t
-		}
-	}
-	absP := p
-	if absP < 0 {
-		absP = -absP
-	}
-	if absW != 0 && q > (1<<62)/absW {
-		return true
-	}
-	if maxT != 0 && absP > (1<<62)/maxT {
-		return true
-	}
-	perArc := q*absW + absP*maxT
-	if perArc < 0 {
-		return true
-	}
-	n := int64(g.NumNodes()) + 1
-	const safe = int64(1) << 62
-	return perArc > safe/n
 }
 
 // certifyRatio verifies and, if needed, exactifies a minimization result in
@@ -136,11 +100,13 @@ func certifyRatioProof(g *graph.Graph, res *Result) error {
 	if !ok || !cycVal.Equal(value) {
 		return fmt.Errorf("%w: witness cycle ratio %v does not equal claimed ρ* = %v", ErrCertification, cycVal, value)
 	}
-	p, q := value.Num(), value.Den()
-	if scaledRatioOverflows(g, p, q) {
+	// The proof runs on ncd's textbook Bellman–Ford, never on the oracle
+	// whose answers it checks.
+	neg, err := ncd.HasNegativeRatioCycle(g, value.Num(), value.Den(), &res.Counts)
+	if err != nil {
 		return fmt.Errorf("%w: feasibility check at ρ = %v would overflow", ErrNumericRange, value)
 	}
-	if neg, _ := hasNegativeCycleRatio(g, p, q, &res.Counts); neg {
+	if neg {
 		return fmt.Errorf("%w: a cycle with ratio below %v exists", ErrCertification, value)
 	}
 	res.Ratio = value

@@ -2,21 +2,33 @@ package ratio
 
 // The shared parametric negative-cycle oracle. Every ratio algorithm in this
 // package reduces to one question — "does some cycle C satisfy
-// den·w(C) − num·t(C) < 0, i.e. ρ(C) < num/den?" — and before this file each
-// solver carried its own private Bellman–Ford core with slightly different
-// allocation, cancellation, and counter behavior. The oracle centralizes the
-// probe: pooled workspaces (zero steady-state allocations across probes),
-// a cancellation checkpoint per pass, a ProbeEvent per probe when tracing is
-// enabled, and an exact overflow pre-check that routes out-of-range inputs
-// to ErrNumericRange instead of silently wrapping int64.
+// den·w(C) − num·t(C) < 0, i.e. ρ(C) < num/den?" — and the oracle answers it
+// for all of them: Lawler's bisection, Dinkelbach/Fox iteration, Howard's
+// final certificate, Burns' initial potentials, Megiddo's parametric search,
+// the Stern–Brocot mediant search and BHK's bisection. It provides pooled
+// workspaces (feasible probes allocate nothing; a negative probe allocates
+// only its witness), a cancellation checkpoint per pass, a ProbeEvent per
+// probe when tracing is enabled, and an exact overflow pre-check that routes
+// out-of-range inputs to ErrNumericRange instead of silently wrapping int64.
 //
-// This is the `ParametricAPI` shape ROADMAP item 2 asks for: Lawler's
-// bisection, Dinkelbach/Fox iteration, Howard's final certificate, Burns'
-// initial potentials, Megiddo's parametric search, and the Stern–Brocot
-// mediant search all sit on the one tuned core below.
+// A probe is pass-based Bellman–Ford from a virtual zero source. It exits
+// early both ways: feasible at the first pass that lowers no distance, and
+// negative at the first pass after which the parent-pointer graph holds a
+// cycle, found by an O(n) epoch-stamped walk (every such cycle is negative).
+// Waiting for pass n instead made each negative probe cost n·m relaxations,
+// which dominated every exact ratio search. Tarjan's subtree disassembly
+// (ncd.Tarjan) would find cycles sooner still, but it gives up the full
+// m-arc passes that keep the counters (m·checks ≤ Relaxations), the
+// cancellation checkpoint and TightCycle's converged distances uniform, and
+// after the walk the probes already cost less than decoding the graph.
+//
+// Certification never runs on this loop: the certifier proves optimality
+// with ncd.HasNegativeRatioCycle, a separate textbook Bellman–Ford, so a bug
+// here cannot certify its own answers.
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -33,6 +45,11 @@ import (
 type probeWS struct {
 	dist   []int64
 	parent []graph.ArcID
+	// stamp and epoch mark the nodes of the per-pass parent-graph walk:
+	// stamps above the epoch a walk started from were written by that walk,
+	// so no per-pass clearing is needed.
+	stamp  []int32
+	epoch  int32
 	color  []byte
 	onPath []graph.ArcID
 	stack  []dfsFrame
@@ -49,10 +66,12 @@ func (ws *probeWS) grow(n int) {
 	if cap(ws.dist) < n {
 		ws.dist = make([]int64, n)
 		ws.parent = make([]graph.ArcID, n)
+		ws.stamp = make([]int32, n)
 		ws.color = make([]byte, n)
 	}
 	ws.dist = ws.dist[:n]
 	ws.parent = ws.parent[:n]
+	ws.stamp = ws.stamp[:n]
 	ws.color = ws.color[:n]
 }
 
@@ -109,9 +128,9 @@ func (o *oracle) Close() {
 	}
 }
 
-// overflows is scaledRatioOverflows with the graph-dependent parts cached:
-// per-arc magnitude den·absW + |num|·maxT times n+1 passes must stay inside
-// 2^62 for the probe arithmetic to be exact.
+// overflows bounds the probe arithmetic with the graph-dependent parts
+// cached: per-arc magnitude den·absW + |num|·maxT times n+1 passes must stay
+// inside 2^62 for the probe arithmetic to be exact.
 func (o *oracle) overflows(num, den int64) bool {
 	absP := num
 	if absP < 0 {
@@ -165,14 +184,11 @@ func (o *oracle) Probe(num, den int64) (bool, []graph.ArcID, error) {
 		parent[i] = -1
 	}
 	arcs := g.Arcs()
-	lastChanged := graph.NodeID(-1)
-	passes := 0
-	for pass := 0; pass < n; pass++ {
+	for pass := 1; pass <= n; pass++ {
 		if o.opt.Canceled() {
 			return false, nil, core.ErrCanceled
 		}
-		passes++
-		lastChanged = -1
+		changed := false
 		for id, a := range arcs {
 			if counts != nil {
 				counts.Relaxations++
@@ -181,41 +197,89 @@ func (o *oracle) Probe(num, den int64) (bool, []graph.ArcID, error) {
 			if nd := dist[a.From] + w; nd < dist[a.To] {
 				dist[a.To] = nd
 				parent[a.To] = graph.ArcID(id)
-				lastChanged = a.To
+				changed = true
 			}
 		}
-		if lastChanged == -1 {
+		if !changed {
 			o.lastNum, o.lastDen, o.converged = num, den, true
 			if traced {
-				tr.Probe(obs.ProbeEvent{Num: num, Den: den, Passes: passes, Duration: time.Since(start)})
+				tr.Probe(obs.ProbeEvent{Num: num, Den: den, Passes: pass, Duration: time.Since(start)})
 			}
 			return false, nil, nil
 		}
-	}
-	// A node changed on the n-th pass: walk parents n steps to land on a
-	// negative cycle, then close it.
-	v := lastChanged
-	for i := 0; i < n; i++ {
-		v = g.Arc(parent[v]).From
-	}
-	startNode := v
-	var rev []graph.ArcID
-	for {
-		id := parent[v]
-		rev = append(rev, id)
-		v = g.Arc(id).From
-		if v == startNode {
-			break
+		if cycle := o.negativeParentCycle(num, den); cycle != nil {
+			if traced {
+				tr.Probe(obs.ProbeEvent{Num: num, Den: den, Negative: true, Passes: pass, Duration: time.Since(start)})
+			}
+			return true, cycle, nil
 		}
 	}
-	cycle := make([]graph.ArcID, len(rev))
-	for i, id := range rev {
-		cycle[len(rev)-1-i] = id
+	// A distance still fell on pass n, so the parent graph holds a cycle and
+	// the walk above must have returned it.
+	return false, nil, fmt.Errorf("ratio: oracle at λ = %d/%d still relaxing after %d passes with no parent cycle", num, den, n)
+}
+
+// negativeParentCycle walks the parent-pointer graph of the current probe
+// and returns, in forward order, the first cycle it closes whose scaled
+// weight den·w − num·t is negative; nil when it closes none. Each node is
+// visited once per call: a walk stops at a root or at a node an earlier walk
+// of the same call already stamped, so the call is O(n) and allocates only
+// the returned cycle.
+//
+// Every cycle of a Bellman–Ford parent graph is negative (the arc that closes
+// it strictly lowered its head's distance while every other arc on it was
+// tight or slack), so the weight test cannot fail; it is recomputed anyway
+// so a witness is only ever reported on exact arithmetic.
+func (o *oracle) negativeParentCycle(num, den int64) []graph.ArcID {
+	ws := o.ws
+	parent, stamp := ws.parent, ws.stamp
+	arcs := o.g.Arcs()
+	n := len(parent)
+	if ws.epoch > math.MaxInt32-int32(n)-1 {
+		clear(stamp)
+		ws.epoch = 0
 	}
-	if traced {
-		tr.Probe(obs.ProbeEvent{Num: num, Den: den, Negative: true, Passes: passes, Duration: time.Since(start)})
+	base := ws.epoch // stamps above base were written by this call
+	for root := range parent {
+		if stamp[root] > base {
+			continue
+		}
+		ws.epoch++
+		walk := ws.epoch
+		v := graph.NodeID(root)
+		for stamp[v] <= base {
+			stamp[v] = walk
+			p := parent[v]
+			if p < 0 {
+				break
+			}
+			v = arcs[p].From
+		}
+		if stamp[v] != walk || parent[v] < 0 {
+			continue
+		}
+		// v lies on a cycle of the parent graph: measure it, then copy it out.
+		length := 0
+		var weight int64
+		for u := v; ; {
+			a := arcs[parent[u]]
+			weight += den*a.Weight - num*a.Transit
+			length++
+			if u = a.From; u == v {
+				break
+			}
+		}
+		if weight >= 0 {
+			continue
+		}
+		cycle := make([]graph.ArcID, length)
+		for u, i := v, length-1; i >= 0; i-- {
+			cycle[i] = parent[u]
+			u = arcs[parent[u]].From
+		}
+		return cycle
 	}
-	return true, cycle, nil
+	return nil
 }
 
 // Dist returns the converged shortest distances of the most recent Probe

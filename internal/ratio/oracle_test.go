@@ -250,3 +250,65 @@ func TestRatioCountsConsistency(t *testing.T) {
 		}
 	}
 }
+
+// pathIntoCycle is a 512-node graph whose only negative cycle at λ = 0 is
+// the two-node loop at its end, fed by a long path of negative arcs listed
+// in reverse, so that path distances keep falling for about n passes.
+func pathIntoCycle() *graph.Graph {
+	const n = 512
+	b := graph.NewBuilder(n, n+1)
+	b.AddNodes(n)
+	for v := n - 3; v >= 0; v-- {
+		b.AddArcTransit(graph.NodeID(v), graph.NodeID(v+1), -1, 1)
+	}
+	b.AddArcTransit(n-2, n-1, -5, 1)
+	b.AddArcTransit(n-1, n-2, -5, 1)
+	b.AddArcTransit(n-1, 0, 10*n, 1)
+	return b.Build()
+}
+
+// TestOracleEarlyExit pins the per-pass parent-graph walk: a negative probe
+// stops as soon as its parent graph closes a cycle, not after n passes.
+func TestOracleEarlyExit(t *testing.T) {
+	var events []obs.ProbeEvent
+	tr := &obs.Trace{OnProbe: func(ev obs.ProbeEvent) { events = append(events, ev) }}
+	g := pathIntoCycle()
+	o := newOracle(g, core.Options{Tracer: tr}, nil)
+	defer o.Close()
+	neg, cycle, err := o.Probe(0, 1)
+	if err != nil || !neg {
+		t.Fatalf("Probe(0,1) = (%v, %v), want a negative cycle", neg, err)
+	}
+	if len(events) != 1 || !events[0].Negative {
+		t.Fatalf("probe events = %+v", events)
+	}
+	if p := events[0].Passes; p > 4 {
+		t.Errorf("negative probe ran %d passes on n = %d, want <= 4", p, g.NumNodes())
+	}
+	if err := g.ValidateCycle(cycle); err != nil {
+		t.Fatal(err)
+	}
+	if w := g.CycleWeight(cycle); w != -10 {
+		t.Errorf("witness weight %d, want the -10 loop", w)
+	}
+}
+
+// TestOracleNegativeProbeAllocs pins that a negative probe allocates exactly
+// one object, the witness cycle it returns.
+func TestOracleNegativeProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race")
+	}
+	g := pathIntoCycle()
+	o := newOracle(g, core.Options{}, nil)
+	defer o.Close()
+	allocs := testing.AllocsPerRun(200, func() {
+		neg, _, err := o.Probe(0, 1)
+		if err != nil || !neg {
+			t.Fatalf("Probe(0,1) = (%v, %v)", neg, err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("negative probe allocates %.1f objects per run, want 1 (the cycle)", allocs)
+	}
+}

@@ -12,7 +12,9 @@
 // encodings of the same arc list) combined with every solve-relevant option
 // (problem, direction, algorithm, kernelize, certify, approximation knobs),
 // so a cached uncertified answer can never satisfy a certified request and a
-// loose-ε approximation can never answer a tight-ε one.
+// loose-ε approximation can never answer a tight-ε one. The cache stores
+// each key as the SHA-256 of that combination, so two keys share an entry
+// only through a SHA-256 collision.
 //
 // Failed solves are never stored. In particular a canceled or
 // deadline-expired solve leaves no entry behind: its singleflight waiters
@@ -21,9 +23,11 @@
 package servecache
 
 import (
-	"container/list"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -67,6 +71,39 @@ type Options struct {
 type Key struct {
 	Graph graph.Fingerprint
 	Opt   Options
+}
+
+// digest is the SHA-256 of a Key's fields, the form the cache stores: one
+// 32-byte array instead of the fingerprint plus four strings, held once per
+// entry.
+type digest [sha256.Size]byte
+
+// digest encodes every field of k, strings length-prefixed so adjacent
+// fields cannot run together, and hashes the encoding.
+func (k Key) digest() digest {
+	var buf [128]byte
+	b := append(buf[:0], k.Graph[:]...)
+	appendString := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	appendBool := func(v bool) {
+		if v {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	o := k.Opt
+	appendString(o.Problem)
+	appendBool(o.Maximize)
+	appendString(o.Algorithm)
+	appendBool(o.Kernelize)
+	appendBool(o.Certify)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.ApproxEpsilon))
+	appendString(o.ApproxMode)
+	appendBool(o.ApproxSharpen)
+	return sha256.Sum256(b)
 }
 
 // Result is the request-independent solve outcome the cache stores: exactly
@@ -126,9 +163,9 @@ type Cache struct {
 
 	mu       sync.Mutex
 	capacity int
-	entries  map[Key]*list.Element // -> *entry, via lru
-	lru      *list.List            // front = most recent
-	inflight map[Key]*flight
+	entries  map[digest]*entry
+	lru      entry // list sentinel: lru.next is the most recent entry
+	inflight map[digest]*flight
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -136,9 +173,24 @@ type Cache struct {
 	merges atomic.Int64
 }
 
+// entry is one stored result, linked into the LRU list in place.
 type entry struct {
-	key Key
-	res *Result
+	key        digest
+	res        *Result
+	prev, next *entry
+}
+
+// unlink removes e from the LRU list.
+func (e *entry) unlink() {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+}
+
+// pushFront links e in as the most recent entry.
+func (c *Cache) pushFront(e *entry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	c.lru.next.prev = e
+	c.lru.next = e
 }
 
 // New returns a Cache bounded to capacity stored results (clamped to at
@@ -149,13 +201,14 @@ func New(capacity int, tracer *obs.Trace) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache{
+	c := &Cache{
 		tracer:   tracer,
 		capacity: capacity,
-		entries:  make(map[Key]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[Key]*flight),
+		entries:  make(map[digest]*entry),
+		inflight: make(map[digest]*flight),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -171,7 +224,7 @@ type Stats struct {
 // Stats returns the current counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	n := c.lru.Len()
+	n := len(c.entries)
 	c.mu.Unlock()
 	return Stats{
 		Entries:      n,
@@ -187,7 +240,7 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return len(c.entries)
 }
 
 // Do returns the result for key, running solve at most once across all
@@ -204,19 +257,21 @@ func (c *Cache) Len() int {
 //
 // solve receives the leader's ctx unchanged; deadline handling stays with
 // the caller.
-func (c *Cache) Do(ctx context.Context, key Key, solve func(ctx context.Context) (*Result, error)) (*Result, Source, error) {
+func (c *Cache) Do(ctx context.Context, k Key, solve func(ctx context.Context) (*Result, error)) (*Result, Source, error) {
+	key := k.digest()
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		res := el.Value.(*entry).res
-		entries := c.lru.Len()
+	if e, ok := c.entries[key]; ok {
+		e.unlink()
+		c.pushFront(e)
+		res := e.res
+		entries := len(c.entries)
 		c.mu.Unlock()
 		c.hits.Add(1)
 		c.tracer.ServeCache(obs.ServeCacheEvent{Op: obs.CacheHit, Entries: entries})
 		return res, SourceHit, nil
 	}
 	if fl, ok := c.inflight[key]; ok {
-		entries := c.lru.Len()
+		entries := len(c.entries)
 		c.mu.Unlock()
 		c.merges.Add(1)
 		c.tracer.ServeCache(obs.ServeCacheEvent{Op: obs.CacheMerge, Entries: entries})
@@ -229,7 +284,7 @@ func (c *Cache) Do(ctx context.Context, key Key, solve func(ctx context.Context)
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.inflight[key] = fl
-	entries := c.lru.Len()
+	entries := len(c.entries)
 	c.mu.Unlock()
 	c.misses.Add(1)
 	c.tracer.ServeCache(obs.ServeCacheEvent{Op: obs.CacheMiss, Entries: entries})
@@ -253,19 +308,20 @@ func (c *Cache) Do(ctx context.Context, key Key, solve func(ctx context.Context)
 
 // Get returns the stored result for key without solving, or nil. It counts
 // as a hit/miss like Do; used by read-only probes and tests.
-func (c *Cache) Get(key Key) *Result {
+func (c *Cache) Get(k Key) *Result {
 	c.mu.Lock()
-	el, ok := c.entries[key]
+	e, ok := c.entries[k.digest()]
 	if !ok {
-		entries := c.lru.Len()
+		entries := len(c.entries)
 		c.mu.Unlock()
 		c.misses.Add(1)
 		c.tracer.ServeCache(obs.ServeCacheEvent{Op: obs.CacheMiss, Entries: entries})
 		return nil
 	}
-	c.lru.MoveToFront(el)
-	res := el.Value.(*entry).res
-	entries := c.lru.Len()
+	e.unlink()
+	c.pushFront(e)
+	res := e.res
+	entries := len(c.entries)
 	c.mu.Unlock()
 	c.hits.Add(1)
 	c.tracer.ServeCache(obs.ServeCacheEvent{Op: obs.CacheHit, Entries: entries})
@@ -273,20 +329,23 @@ func (c *Cache) Get(key Key) *Result {
 }
 
 // store inserts under c.mu, evicting beyond capacity.
-func (c *Cache) store(key Key, res *Result) {
-	if el, ok := c.entries[key]; ok {
+func (c *Cache) store(key digest, res *Result) {
+	if e, ok := c.entries[key]; ok {
 		// A racing leader for the same key already stored (possible when a
 		// failed leader's key was re-solved); keep the newest.
-		el.Value.(*entry).res = res
-		c.lru.MoveToFront(el)
+		e.res = res
+		e.unlink()
+		c.pushFront(e)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&entry{key: key, res: res})
-	for c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*entry).key)
+	e := &entry{key: key, res: res}
+	c.entries[key] = e
+	c.pushFront(e)
+	for len(c.entries) > c.capacity {
+		oldest := c.lru.prev
+		oldest.unlink()
+		delete(c.entries, oldest.key)
 		c.evicts.Add(1)
-		c.tracer.ServeCache(obs.ServeCacheEvent{Op: obs.CacheEvict, Entries: c.lru.Len()})
+		c.tracer.ServeCache(obs.ServeCacheEvent{Op: obs.CacheEvict, Entries: len(c.entries)})
 	}
 }

@@ -2,8 +2,11 @@ package servecache
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -442,5 +445,70 @@ func TestDeltaContentNearMisses(t *testing.T) {
 	}
 	if _, src, _ := c.Do(ctx, meanKey(reverted, Options{}), solveConst(nil, &calls)); src != SourceHit {
 		t.Fatal("reverted content missed the seed entry")
+	}
+}
+
+// TestDigestCoversEveryOption flips each Options field in turn, by
+// reflection, and demands a digest distinct from the zero key's and from
+// every other flip's. A field added to Options but left out of Key.digest
+// fails here.
+func TestDigestCoversEveryOption(t *testing.T) {
+	seen := map[digest]string{Key{}.digest(): "zero options"}
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		var k Key
+		name := typ.Field(i).Name
+		switch f := reflect.ValueOf(&k.Opt).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		default:
+			t.Fatalf("Options.%s has kind %s, which this test cannot flip", name, f.Kind())
+		}
+		d := k.digest()
+		if prev, dup := seen[d]; dup {
+			t.Errorf("flipping Options.%s gives the digest of %s", name, prev)
+		}
+		seen[d] = name
+	}
+	var k Key
+	k.Graph[31] = 1
+	if _, dup := seen[k.digest()]; dup {
+		t.Error("the graph fingerprint does not reach the digest")
+	}
+}
+
+// TestBytesPerEntry pins the heap one stored ratio result retains — the
+// Result and a 16-arc witness cycle (192 B) plus the cache's own
+// bookkeeping (map slot, digest key, LRU links). Keying the map by the
+// Options-carrying Key, stored twice, with a container/list element cost
+// 615 B here; the digest key and intrusive LRU cost 343 B.
+func TestBytesPerEntry(t *testing.T) {
+	const entries = 4096
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(entries, nil)
+	for i := 0; i < entries; i++ {
+		res := &Result{Value: numeric.NewRat(int64(i), 7), Cycle: make([]graph.ArcID, 16), Exact: true, Certified: true}
+		var fp graph.Fingerprint
+		binary.LittleEndian.PutUint64(fp[:], uint64(i))
+		key := Key{Graph: fp, Opt: Options{Problem: "ratio", Algorithm: "sternbrocot", Certify: true}}
+		if _, _, err := c.Do(context.Background(), key, func(context.Context) (*Result, error) { return res, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if c.Len() != entries {
+		t.Fatalf("Len = %d, want %d", c.Len(), entries)
+	}
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / entries
+	t.Logf("%.0f B retained per entry", per)
+	if per > 400 {
+		t.Errorf("a stored ratio result retains %.0f B, pinned at <= 400", per)
 	}
 }
