@@ -102,6 +102,7 @@ fuzz:
 # Native coverage-guided fuzzing, 30s per target (same as the CI smoke job).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGraphRead -fuzztime 30s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzDecodeJSON -fuzztime 30s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzSolveDifferential -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzApproxDifferential -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 30s ./internal/core

@@ -99,6 +99,7 @@ func (c ServeLoadConfig) withDefaults() ServeLoadConfig {
 // ServeLoadScenario is one measured load run.
 type ServeLoadScenario struct {
 	Name        string  `json:"name"`
+	NumCPU      int     `json:"num_cpu"` // of the load generator's host
 	Requests    int64   `json:"requests"`
 	Graphs      int64   `json:"graphs"`
 	Errors      int64   `json:"errors"`
@@ -305,6 +306,7 @@ func runScenario(name, url string, w *workload, cfg ServeLoadConfig) (ServeLoadS
 	}
 	return ServeLoadScenario{
 		Name:        name,
+		NumCPU:      runtime.NumCPU(),
 		Requests:    requests.Load(),
 		Graphs:      graphs.Load(),
 		Errors:      errs.Load(),

@@ -30,11 +30,13 @@ import (
 	"repro/internal/obs"
 )
 
-// sessionMaxEntries bounds the policy cache. When a session has seen more
-// distinct component structures than this, the cache is cleared wholesale
-// (the workload Session targets has a small, stable set of structures, so
-// wholesale clearing is simpler than LRU and just as effective).
-const sessionMaxEntries = 1024
+// sessionMaxArcIDs bounds the policy cache by the ArcIDs it holds, one per
+// node of every cached component (4 MiB). When a new policy would take the
+// total past it, the cache is cleared wholesale (the workload Session
+// targets has a small, stable set of structures, so wholesale clearing is
+// simpler than LRU and just as effective). A policy larger than the whole
+// bound is not cached.
+const sessionMaxArcIDs = 1 << 20
 
 // SessionStats counts cache behavior over a Session's lifetime.
 type SessionStats struct {
@@ -52,7 +54,7 @@ type SessionStats struct {
 	WarmHits int
 	// WarmMisses counts component solves that started cold.
 	WarmMisses int
-	// Evictions counts wholesale cache clears (see sessionMaxEntries).
+	// Evictions counts wholesale cache clears (see sessionMaxArcIDs).
 	Evictions int
 }
 
@@ -71,9 +73,10 @@ type SessionStats struct {
 type Session struct {
 	opt Options
 
-	mu    sync.Mutex
-	cache map[uint64][]graph.ArcID
-	stats SessionStats
+	mu     sync.Mutex
+	cache  map[uint64][]graph.ArcID
+	cached int // ArcIDs held by cache, at most sessionMaxArcIDs
+	stats  SessionStats
 }
 
 // NewSession returns an empty session; opt applies to every solve.
@@ -164,14 +167,16 @@ func (s *Session) solve(g *graph.Graph, opt Options) (res Result, err error) {
 		}
 		s.stats.Components++
 		evicted := false
-		if len(s.cache) >= sessionMaxEntries {
-			if _, present := s.cache[fp]; !present {
+		if len(policy) <= sessionMaxArcIDs {
+			if s.cached-len(s.cache[fp])+len(policy) > sessionMaxArcIDs {
 				s.cache = make(map[uint64][]graph.ArcID)
+				s.cached = 0
 				s.stats.Evictions++
 				evicted = true
 			}
+			s.cached += len(policy) - len(s.cache[fp])
+			s.cache[fp] = policy
 		}
-		s.cache[fp] = policy
 		entries = len(s.cache)
 		s.mu.Unlock()
 		if evicted {
@@ -210,6 +215,7 @@ func (s *Session) Stats() SessionStats {
 func (s *Session) Reset() {
 	s.mu.Lock()
 	s.cache = make(map[uint64][]graph.ArcID)
+	s.cached = 0
 	s.mu.Unlock()
 }
 

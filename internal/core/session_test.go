@@ -179,6 +179,59 @@ func TestSessionReset(t *testing.T) {
 	}
 }
 
+// TestSessionPolicyCacheBound solves a stream of distinct structures whose
+// policies fill the ArcID bound exactly every 16 solves: the cache never
+// holds more than the bound, each wholesale clear counts one eviction, and a
+// structure seen again before the next clear still warm-starts, also when
+// the cache is full.
+func TestSessionPolicyCacheBound(t *testing.T) {
+	const n = 1 << 16 // nodes per structure, all in one cyclic component
+	perClear := sessionMaxArcIDs / n
+	// structure k: the cycle 0→1→…→n−1→0 plus a chord 0→k, so each k has
+	// its own fingerprint; shift moves only the weights.
+	structure := func(k int, shift int64) *graph.Graph {
+		b := graph.NewBuilder(n, n+1)
+		b.AddNodes(n)
+		for v := 0; v < n; v++ {
+			b.AddArc(graph.NodeID(v), graph.NodeID((v+1)%n), (int64(v)+shift)%7)
+		}
+		b.AddArc(0, graph.NodeID(k), shift)
+		return b.Build()
+	}
+	s := NewSession(Options{})
+	solve := func(g *graph.Graph) SessionStats {
+		t.Helper()
+		if _, err := s.Solve(g); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		held := 0
+		for _, p := range s.cache {
+			held += len(p)
+		}
+		if held != s.cached || held > sessionMaxArcIDs {
+			t.Fatalf("cache holds %d ArcIDs, counted %d, bound %d", held, s.cached, sessionMaxArcIDs)
+		}
+		return s.stats
+	}
+	for k := 0; k <= 2*perClear; k++ {
+		st := solve(structure(k+2, 0))
+		if want := k / perClear; st.Evictions != want {
+			t.Fatalf("structure %d: Evictions = %d, want %d", k, st.Evictions, want)
+		}
+		// Solve the previous structure again right after a clear and when
+		// the cache is full.
+		if pos := k % perClear; pos != 1 && pos != perClear-1 {
+			continue
+		}
+		again := solve(structure(k+1, 3))
+		if again.WarmHits != st.WarmHits+1 || again.Evictions != st.Evictions {
+			t.Fatalf("structure %d seen again: stats %+v after %+v, want one more warm hit and no clear", k-1, again, st)
+		}
+	}
+}
+
 func TestSessionStatsCountFailedSolves(t *testing.T) {
 	// Regression: Solves used to be incremented only on the success path, so
 	// a failed call (acyclic input, certification failure, numeric overflow)

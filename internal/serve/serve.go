@@ -435,7 +435,7 @@ func wantsStream(r *http.Request) bool {
 }
 
 // decodeGraph materializes one request entry's graph, rejecting oversized
-// dimensions before any index allocation (graph.Read and the JSON decoder
+// dimensions before any index allocation (graph.Read and graph.DecodeJSON
 // both enforce graph.MaxDim).
 func decodeGraph(gr *GraphRequest) (*graph.Graph, *ErrorBody) {
 	switch {
@@ -448,8 +448,8 @@ func decodeGraph(gr *GraphRequest) (*graph.Graph, *ErrorBody) {
 		}
 		return g, nil
 	case len(gr.Graph) > 0:
-		g := new(graph.Graph)
-		if err := json.Unmarshal(gr.Graph, g); err != nil {
+		g, err := graph.DecodeJSON(gr.Graph)
+		if err != nil {
 			return nil, &ErrorBody{Code: CodeBadGraph, Message: err.Error()}
 		}
 		return g, nil
